@@ -11,9 +11,8 @@ use atlas_core::baselines::{
 };
 use atlas_core::cut::{cut_attribute, CutConfig, NumericCutStrategy};
 use atlas_core::{
-    cluster_maps, distance_matrix, generate_candidates, AnytimeAtlas, AnytimeConfig, Atlas,
-    AtlasConfig, ClusteringConfig, DataMap, Linkage, MapDistanceMetric, MergeStrategy,
-    PhaseTimings,
+    cluster_maps, distance_matrix, generate_candidates, Atlas, AtlasConfig, ClusteringConfig,
+    DataMap, ExploreOptions, Linkage, MapDistanceMetric, MergeStrategy, PhaseTimings,
 };
 use atlas_datagen::CensusGenerator;
 use atlas_explorer::{MapQuality, ReadabilityReport};
@@ -371,23 +370,21 @@ fn e7_anytime() {
     println!("|-----------|--------|--------------|--------------------------|-------------------------|");
     let table = census(500_000);
     let query = ConjunctiveQuery::all("census");
-    let exact = Atlas::with_defaults(Arc::clone(&table))
-        .expect("valid config")
-        .explore(&query)
-        .expect("exact exploration");
+    let atlas = Atlas::with_defaults(Arc::clone(&table)).expect("valid config");
+    let exact = atlas.explore(&query).expect("exact exploration");
     let exact_best = exact.best().expect("exact map");
     let exact_covers = exact_best.map.covers(exact.working_set_size);
-    let anytime = AnytimeAtlas::new(
-        Arc::clone(&table),
-        AnytimeConfig {
-            initial_sample: 1_000,
-            growth_factor: 4.0,
-            budget: std::time::Duration::from_secs(120),
-            ..AnytimeConfig::default()
-        },
-    )
-    .expect("valid config");
-    let outcome = anytime.run(&query).expect("anytime run succeeds");
+    let outcome = atlas
+        .explore_anytime(
+            &query,
+            ExploreOptions {
+                initial_sample: 1_000,
+                growth_factor: 4.0,
+                budget: Some(std::time::Duration::from_secs(120)),
+                ..ExploreOptions::default()
+            },
+        )
+        .expect("anytime run succeeds");
     for (i, iteration) in outcome.iterations.iter().enumerate() {
         let best = iteration.result.best().expect("a map per iteration");
         let covers = best.map.covers(iteration.result.working_set_size);
@@ -963,7 +960,6 @@ fn bench_smoke(path: &str, gate: Option<f64>) {
 
     let report = Json::object(vec![
         ("experiment", Json::from("bench_smoke")),
-        ("pr", Json::from(9usize)),
         ("dataset", Json::from("census")),
         ("config", Json::from("fast")),
         (
@@ -1309,7 +1305,6 @@ fn load_smoke(path: &str) {
 
     let report = Json::object(vec![
         ("experiment", Json::from("load_smoke")),
-        ("pr", Json::from(5usize)),
         ("dataset", Json::from("census")),
         ("rows", Json::from(ROWS)),
         (
@@ -1517,7 +1512,6 @@ fn dist_smoke(path: &str) {
 
     let report = Json::object(vec![
         ("experiment", Json::from("dist_smoke")),
-        ("pr", Json::from(8usize)),
         ("dataset", Json::from("census")),
         ("rows", Json::from(ROWS)),
         (

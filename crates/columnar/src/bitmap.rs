@@ -249,8 +249,8 @@ impl Bitmap {
 
     /// Build the sub-selection of this bitmap whose set bits satisfy `keep`.
     ///
-    /// The fused filter kernel behind `Column::select_range` /
-    /// `Column::select_in`: output words are assembled directly (no per-bit
+    /// The fused whole-bitmap filter (the per-part scans of
+    /// `ColumnView::select_in` use [`Bitmap::filter_ones_in_into`]): output words are assembled directly (no per-bit
     /// bounds checks or index arithmetic on the result), and all-zero input
     /// words are skipped a whole `u64` at a time.
     #[inline]

@@ -1,9 +1,17 @@
-//! Word-parallel partition kernels.
+//! The per-part scan kernels behind [`crate::ColumnView`].
+//!
+//! Every scan loop over column storage lives here, as one `*_part` function
+//! per scan: it walks one segment-local [`Column`] over the rows that segment
+//! covers in the view (`offset..offset + len`) and accumulates into a
+//! caller-owned output. A [`crate::ColumnView`] scan
+//! method resolves its arguments once (`resolve_*`) and calls one kernel per
+//! part, in row order.
 //!
 //! The `CUT` hot loop is "partition the selected rows of one column into k
-//! disjoint selections" — by numeric range ([`crate::Column::select_ranges`])
-//! or by categorical group ([`crate::Column::select_in_groups`]). The kernels
-//! here process **64 rows per step** instead of one:
+//! disjoint selections" — by numeric range
+//! ([`crate::ColumnView::select_ranges`]) or by categorical group
+//! ([`crate::ColumnView::select_in_groups`]). Those kernels process **64 rows
+//! per step** instead of one:
 //!
 //! * the selection bitmap is walked word-at-a-time (all-zero words are
 //!   skipped, boundary words are masked — `for_each_sel_word`);
@@ -45,6 +53,7 @@ use crate::bitmap::Bitmap;
 use crate::column::{Column, DictColumn, NULL_CODE};
 use crate::value::DataType;
 use std::cell::Cell;
+use std::collections::HashSet;
 use std::sync::OnceLock;
 
 const WORD_BITS: usize = 64;
@@ -959,6 +968,197 @@ pub(crate) fn count_codes_part(d: &DictColumn, offset: usize, sel: &Bitmap, coun
             }
         }
     });
+}
+
+/// Report one part's selected-row count per category, in the part's
+/// dictionary order and *including zero counts*: `emit(value, count)` once
+/// per distinct string of a dictionary part, or for `"true"` then `"false"`
+/// of a boolean part. Numeric parts emit nothing.
+pub(crate) fn category_counts_part(
+    column: &Column,
+    offset: usize,
+    sel: &Bitmap,
+    mut emit: impl FnMut(&str, usize),
+) {
+    match column {
+        Column::Str(d) => {
+            // The extra trailing slot absorbs NULL lanes (see
+            // `count_codes_part`); only the real codes are reported.
+            let mut counts = vec![0usize; d.cardinality() + 1];
+            count_codes_part(d, offset, sel, &mut counts);
+            for (value, n) in d.dictionary().iter().zip(counts) {
+                emit(value, n);
+            }
+        }
+        Column::Bool(p) => {
+            let (mut t, mut f) = (0usize, 0usize);
+            sel.for_each_one_in(offset, offset + p.len(), |idx| match p.get(idx - offset) {
+                Some(true) => t += 1,
+                Some(false) => f += 1,
+                None => {}
+            });
+            emit("true", t);
+            emit("false", f);
+        }
+        _ => {}
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Set membership, null masks and min/max
+// ---------------------------------------------------------------------------
+
+/// Pre-resolved form of a `select_in` value set for one column type.
+pub(crate) enum InSpec<'v> {
+    /// Resolved per part against each segment dictionary.
+    Str(Vec<&'v str>),
+    /// Whether `true` / `false` rows match.
+    Bool {
+        /// `true` rows match.
+        want_true: bool,
+        /// `false` rows match.
+        want_false: bool,
+    },
+    /// The values whose decimal rendering round-trips ("007" or "+7" never
+    /// match 7).
+    Int(Vec<i64>),
+    /// Floats match on their rendered string.
+    Float(HashSet<&'v str>),
+}
+
+/// Resolve a `select_in` value set once per (type, value set) — shared
+/// across the segments of a [`crate::ColumnView`] walk.
+pub(crate) fn resolve_in<'v>(
+    dtype: DataType,
+    values: impl IntoIterator<Item = &'v str>,
+) -> InSpec<'v> {
+    match dtype {
+        DataType::Str => InSpec::Str(values.into_iter().collect()),
+        DataType::Bool => {
+            let (mut want_true, mut want_false) = (false, false);
+            for s in values {
+                want_true |= s.eq_ignore_ascii_case("true");
+                want_false |= s.eq_ignore_ascii_case("false");
+            }
+            InSpec::Bool {
+                want_true,
+                want_false,
+            }
+        }
+        DataType::Int => InSpec::Int(
+            values
+                .into_iter()
+                .filter_map(|s| s.parse::<i64>().ok().filter(|x| x.to_string() == s))
+                .collect(),
+        ),
+        DataType::Float => InSpec::Float(values.into_iter().collect()),
+    }
+}
+
+/// OR the selected rows of one part whose value is in the resolved set into
+/// `out` (global coordinates). NULLs never match. String parts resolve the
+/// values to sorted dictionary codes once, so each row is one binary search
+/// over the (typically tiny) code set — never a string comparison.
+pub(crate) fn select_in_part(
+    column: &Column,
+    offset: usize,
+    sel: &Bitmap,
+    spec: &InSpec<'_>,
+    out: &mut Bitmap,
+) {
+    let end = offset + column.len();
+    match (column, spec) {
+        (Column::Str(d), InSpec::Str(values)) => {
+            let mut codes: Vec<u32> = values.iter().filter_map(|v| d.code_of(v)).collect();
+            if codes.is_empty() {
+                return;
+            }
+            codes.sort_unstable();
+            sel.filter_ones_in_into(offset, end, out, |idx| {
+                let code = d.code(idx - offset);
+                code != NULL_CODE && codes.binary_search(&code).is_ok()
+            });
+        }
+        (
+            Column::Bool(p),
+            &InSpec::Bool {
+                want_true,
+                want_false,
+            },
+        ) => sel.filter_ones_in_into(offset, end, out, |idx| match p.get(idx - offset) {
+            Some(true) => want_true,
+            Some(false) => want_false,
+            None => false,
+        }),
+        (Column::Int(p), InSpec::Int(wanted)) if !wanted.is_empty() => {
+            sel.filter_ones_in_into(offset, end, out, |idx| {
+                p.get(idx - offset).is_some_and(|x| wanted.contains(&x))
+            })
+        }
+        (Column::Float(p), InSpec::Float(wanted)) if !wanted.is_empty() => {
+            sel.filter_ones_in_into(offset, end, out, |idx| {
+                p.get(idx - offset)
+                    .is_some_and(|x| wanted.contains(x.to_string().as_str()))
+            })
+        }
+        _ => {}
+    }
+}
+
+/// OR one part's non-NULL rows into `out` at the part's global offset.
+/// Primitive parts OR their validity words in whole (word-aligned offsets
+/// need no per-row work); dictionary parts assemble the mask a word at a
+/// time from the codes.
+pub(crate) fn non_null_part(column: &Column, offset: usize, out: &mut Bitmap) {
+    match column {
+        Column::Int(p) => out.or_shifted(p.validity(), offset),
+        Column::Float(p) => out.or_shifted(p.validity(), offset),
+        Column::Bool(p) => out.or_shifted(p.validity(), offset),
+        Column::Str(d) => out.fill_range_from_fn(offset, offset + d.len(), |idx| {
+            d.code(idx - offset) != NULL_CODE
+        }),
+    }
+}
+
+/// Fold the non-NULL numeric values selected within one part into a running
+/// `(min, max)` (`None` until a value has been seen). Threading one
+/// accumulator through the parts in row order performs exactly the
+/// `f64::min` / `f64::max` sequence of a single whole-column pass.
+pub(crate) fn numeric_min_max_part(
+    column: &Column,
+    offset: usize,
+    sel: &Bitmap,
+    acc: &mut Option<(f64, f64)>,
+) {
+    match column {
+        Column::Int(p) => fold_min_max(p.values(), p.validity(), offset, sel, |x| x as f64, acc),
+        Column::Float(p) => fold_min_max(p.values(), p.validity(), offset, sel, |x| x, acc),
+        _ => {}
+    }
+}
+
+fn fold_min_max<T: Copy>(
+    values: &[T],
+    validity: &Bitmap,
+    offset: usize,
+    sel: &Bitmap,
+    to_f64: impl Fn(T) -> f64,
+    acc: &mut Option<(f64, f64)>,
+) {
+    let (mut min, mut max) = acc.unwrap_or((f64::INFINITY, f64::NEG_INFINITY));
+    let mut seen = acc.is_some();
+    sel.for_each_one_in(offset, offset + values.len(), |idx| {
+        let local = idx - offset;
+        if validity.get(local) {
+            let x = to_f64(values[local]);
+            min = min.min(x);
+            max = max.max(x);
+            seen = true;
+        }
+    });
+    if seen {
+        *acc = Some((min, max));
+    }
 }
 
 #[cfg(test)]

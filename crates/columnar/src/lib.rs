@@ -10,21 +10,24 @@
 //! [`Segment`]s (contiguous row ranges, each with its own columns and
 //! seal-time [`ColumnStats`]), shared individually by `Arc`. Appending data
 //! creates a new table that reuses every existing segment, so continuously
-//! ingesting workloads extend state instead of invalidating it. All scan
-//! kernels ([`ColumnView`]) operate per-segment in global row coordinates and
-//! are bit-for-bit independent of the segment layout; the layout is
-//! controlled by `ATLAS_SEGMENT_ROWS` ([`segment::default_segment_rows`]).
+//! ingesting workloads extend state instead of invalidating it. All scans go
+//! through [`ColumnView`], which runs one [`kernels`] `*_part` function per
+//! segment in global row coordinates, so every scan is bit-for-bit
+//! independent of the segment layout; the layout is controlled by
+//! `ATLAS_SEGMENT_ROWS` ([`segment::default_segment_rows`]).
 //!
 //! ## Key types
 //!
 //! * [`Value`] / [`DataType`] — the scalar type system (64-bit integers, 64-bit
 //!   floats, dictionary-encoded strings, booleans).
-//! * [`Column`] — a typed segment-local column with a null mask; string columns
-//!   are dictionary-encoded ([`column::DictColumn`]).
+//! * [`Column`] — typed segment-local storage with a null mask; string columns
+//!   are dictionary-encoded ([`column::DictColumn`]). It has row accessors
+//!   but no scans.
 //! * [`Segment`] — an immutable row range: one column per field plus
 //!   per-column statistics.
-//! * [`ColumnView`] — one schema column across every segment of a table; all
-//!   selection / partition / statistics kernels live here.
+//! * [`ColumnView`] — one schema column across every segment of a table, or
+//!   across one segment ([`ColumnView::of_segment`]); the only scan API
+//!   (selection, partition, counting, min/max, null masks, statistics).
 //! * [`Bitmap`] — a packed selection vector over the table's global rows,
 //!   used to represent query results and region extents.
 //! * [`Schema`] / [`Field`] — relation schemas.

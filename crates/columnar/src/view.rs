@@ -1,16 +1,18 @@
-//! Table-spanning column views over segmented storage.
+//! Column views: the one scan API over segmented storage.
 //!
-//! A [`ColumnView`] is what [`crate::Table::column`] hands out: a lightweight
-//! (`Copy`) handle addressing one schema column across every segment of a
-//! table. It exposes the same scan kernels the monolithic `Column` offers —
-//! range/set selection, one-pass partitioning, frequency counting, min/max,
-//! null masks — but each kernel walks the segments **in row order**, operating
-//! on the segment's slice of the table-wide selection bitmap
-//! ([`Bitmap::for_each_one_in`] / [`Bitmap::filter_ones_in_into`]) and
-//! assembling results in global row coordinates. Every kernel on this type
-//! is therefore bit-for-bit independent of the segment layout. (Quantile
-//! *sketches*, which live in the engine profile rather than here, are the
-//! one ε-approximate exception — see `atlas-stats::gk`.)
+//! A [`ColumnView`] addresses one schema column across an ordered run of
+//! segments: [`crate::Table::column`] hands out a view over every segment of
+//! a table, and [`ColumnView::of_segment`] a one-part view over a single
+//! segment in that segment's own row coordinates. It is a lightweight
+//! (`Copy`) handle and the only scan surface of the crate — range/set
+//! selection, one-pass partitioning, frequency counting, min/max, null
+//! masks. Each scan method resolves its arguments once and runs one
+//! [`crate::kernels`] `*_part` function per segment **in row order**, on the
+//! segment's slice of the view-wide selection bitmap, assembling results in
+//! the view's row coordinates. Every scan is therefore bit-for-bit
+//! independent of the segment layout. (Quantile *sketches*, which live in the
+//! engine profile rather than here, are the one ε-approximate exception —
+//! see `atlas-stats::gk`.)
 //!
 //! String columns are dictionary-encoded **per segment**: each kernel resolves
 //! its value set against each segment's dictionary (one cheap lookup per
@@ -23,30 +25,60 @@ use crate::colstats::{ColumnStats, ColumnSummary};
 use crate::column::{Column, NULL_CODE};
 use crate::error::{ColumnarError, Result};
 use crate::kernels;
+use crate::segment::Segment;
 use crate::table::Table;
 use crate::value::{DataType, Value};
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
-/// A view of one column across every segment of a [`Table`].
+/// A view of one column across an ordered run of segments: every segment of
+/// a [`Table`], or a single [`Segment`] on its own.
 #[derive(Clone, Copy)]
 pub struct ColumnView<'a> {
-    table: &'a Table,
-    col: usize,
+    name: &'a str,
     dtype: DataType,
+    col: usize,
+    segments: &'a [Arc<Segment>],
+    /// The view row of the first row of each segment.
+    offsets: &'a [usize],
+    len: usize,
 }
 
 impl<'a> ColumnView<'a> {
     pub(crate) fn new(table: &'a Table, col: usize) -> Self {
+        let field = &table.schema.fields()[col];
         ColumnView {
-            table,
+            name: &field.name,
+            dtype: field.dtype,
             col,
-            dtype: table.schema.fields()[col].dtype,
+            segments: &table.segments,
+            offsets: &table.offsets,
+            len: table.num_rows,
+        }
+    }
+
+    /// A one-part view of the column at schema position `col` of one
+    /// segment, named `name`, in the segment's own row coordinates: row 0 is
+    /// the segment's first row, and selections range over
+    /// `segment.num_rows()` rows. This is how a segment is scanned on its own
+    /// (profiling one segment, appending one to a prepared engine).
+    ///
+    /// # Panics
+    /// Panics if `col` is out of range.
+    pub fn of_segment(segment: &'a Arc<Segment>, name: &'a str, col: usize) -> Self {
+        ColumnView {
+            name,
+            dtype: segment.column(col).data_type(),
+            col,
+            segments: std::slice::from_ref(segment),
+            offsets: &[0],
+            len: segment.num_rows(),
         }
     }
 
     /// The column name.
     pub fn name(&self) -> &'a str {
-        &self.table.schema.fields()[self.col].name
+        self.name
     }
 
     /// The data type of the column.
@@ -54,30 +86,38 @@ impl<'a> ColumnView<'a> {
         self.dtype
     }
 
-    /// Number of rows (the table's row count).
+    /// Number of rows (the table's row count, or the segment's for a
+    /// one-part view).
     pub fn len(&self) -> usize {
-        self.table.num_rows
+        self.len
     }
 
     /// True if the column holds no rows.
     pub fn is_empty(&self) -> bool {
-        self.table.num_rows == 0
+        self.len == 0
     }
 
     /// The column's segment-local parts, in row order, as
-    /// `(global_offset, column)` pairs.
+    /// `(view_offset, column)` pairs.
     pub fn parts(&self) -> impl Iterator<Item = (usize, &'a Column)> + '_ {
-        self.table
-            .segments
+        self.segments
             .iter()
-            .zip(self.table.offsets.iter())
-            .map(move |(segment, &offset)| (offset, &segment.columns()[self.col]))
+            .zip(self.offsets.iter())
+            .map(move |(segment, &offset)| (offset, segment.column(self.col)))
     }
 
-    /// The segment-local column containing global `row`, with its offset.
+    /// The segment-local column containing view `row`, with its offset.
+    ///
+    /// # Panics
+    /// Panics if `row` is out of bounds.
     fn part_of(&self, row: usize) -> (usize, &'a Column) {
-        let (offset, segment) = self.table.segment_of(row);
-        (offset, &segment.columns()[self.col])
+        assert!(
+            row < self.len,
+            "row index {row} out of bounds for length {}",
+            self.len
+        );
+        let idx = self.offsets.partition_point(|&o| o <= row) - 1;
+        (self.offsets[idx], self.segments[idx].column(self.col))
     }
 
     /// The value at `row` as a dynamically-typed [`Value`].
@@ -111,8 +151,7 @@ impl<'a> ColumnView<'a> {
 
     /// Number of NULL entries, served from the segments' cached statistics.
     pub fn null_count(&self) -> usize {
-        self.table
-            .segments
+        self.segments
             .iter()
             .map(|s| s.column_stats(self.col).null_count)
             .sum()
@@ -125,11 +164,17 @@ impl<'a> ColumnView<'a> {
     }
 
     /// Summary statistics over the selected rows: one mergeable
-    /// [`ColumnSummary`] per segment, folded in row order.
+    /// [`ColumnSummary`] per segment, folded in row order (the first part's
+    /// summary is the fold's start, so a one-part view merges nothing).
     pub fn summary(&self, sel: &Bitmap) -> ColumnSummary {
-        let mut acc = ColumnSummary::empty(self.dtype);
-        for (offset, column) in self.parts() {
-            acc.merge_from(&ColumnSummary::compute(column, sel, offset));
+        let mut parts = self
+            .parts()
+            .map(|(offset, column)| ColumnSummary::compute(column, sel, offset));
+        let mut acc = parts
+            .next()
+            .unwrap_or_else(|| ColumnSummary::empty(self.dtype));
+        for part in parts {
+            acc.merge_from(&part);
         }
         acc
     }
@@ -180,8 +225,8 @@ impl<'a> ColumnView<'a> {
     }
 
     /// Collect the non-NULL numeric values for the rows selected by `sel`, in
-    /// global row order. Non-numeric columns return an empty vector. This is
-    /// the main scan kernel the `CUT` primitive relies on.
+    /// row order. Non-numeric columns return an empty vector. This is the
+    /// main scan kernel the `CUT` primitive relies on.
     pub fn numeric_values_where(&self, sel: &Bitmap) -> Vec<f64> {
         if !matches!(self.dtype, DataType::Int | DataType::Float) {
             return Vec::new();
@@ -206,14 +251,8 @@ impl<'a> ColumnView<'a> {
         let bounds = [(lo, hi)];
         let spec = kernels::resolve_ranges(self.dtype, &bounds);
         for (offset, column) in self.parts() {
-            kernels::select_ranges_part(
-                column,
-                offset,
-                sel,
-                &bounds,
-                &spec,
-                std::slice::from_mut(&mut out),
-            );
+            let region = std::slice::from_mut(&mut out);
+            kernels::select_ranges_part(column, offset, sel, &bounds, &spec, region);
         }
         out
     }
@@ -230,89 +269,19 @@ impl<'a> ColumnView<'a> {
     /// [`ColumnView::select_in`] over a borrowed value iterator (no value-set
     /// clone required).
     ///
-    /// The value set is resolved once per segment — to that segment's
-    /// dictionary codes for string columns (membership is then one indexed
-    /// load per row, never a string comparison) — and once overall for the
-    /// other types.
+    /// The value set is resolved once — to native `i64`s for integer
+    /// columns, to rendered-string sets for float columns — and string
+    /// values once more per segment, to that segment's dictionary codes
+    /// (membership is then one indexed load per row, never a string
+    /// comparison).
     pub fn select_in_iter<'v, I>(&self, sel: &Bitmap, values: I) -> Bitmap
     where
         I: IntoIterator<Item = &'v str>,
     {
         let mut out = Bitmap::new_empty(sel.len());
-        match self.dtype {
-            DataType::Str => {
-                let values: Vec<&str> = values.into_iter().collect();
-                for (offset, column) in self.parts() {
-                    let d = column.as_dict().expect("schema says string column");
-                    let mut codes: Vec<u32> = values.iter().filter_map(|v| d.code_of(v)).collect();
-                    if codes.is_empty() {
-                        continue;
-                    }
-                    codes.sort_unstable();
-                    let end = offset + d.len();
-                    sel.filter_ones_in_into(offset, end, &mut out, |idx| {
-                        let code = d.code(idx - offset);
-                        code != NULL_CODE && codes.binary_search(&code).is_ok()
-                    });
-                }
-            }
-            DataType::Bool => {
-                let mut want_true = false;
-                let mut want_false = false;
-                for s in values {
-                    want_true |= s.eq_ignore_ascii_case("true");
-                    want_false |= s.eq_ignore_ascii_case("false");
-                }
-                for (offset, column) in self.parts() {
-                    let Column::Bool(v) = column else { continue };
-                    let end = offset + v.len();
-                    sel.filter_ones_in_into(offset, end, &mut out, |idx| {
-                        match v.get(idx - offset) {
-                            Some(true) => want_true,
-                            Some(false) => want_false,
-                            None => false,
-                        }
-                    });
-                }
-            }
-            DataType::Int => {
-                // Parse the value set once; the round-trip check keeps the
-                // semantics of decimal-rendering equality (e.g. "007" or "+7"
-                // still never match the value 7).
-                let wanted: Vec<i64> = values
-                    .into_iter()
-                    .filter_map(|s| s.parse::<i64>().ok().filter(|x| x.to_string() == s))
-                    .collect();
-                if wanted.is_empty() {
-                    return out;
-                }
-                for (offset, column) in self.parts() {
-                    let Column::Int(v) = column else { continue };
-                    let end = offset + v.len();
-                    sel.filter_ones_in_into(offset, end, &mut out, |idx| {
-                        match v.get(idx - offset) {
-                            Some(x) => wanted.contains(&x),
-                            None => false,
-                        }
-                    });
-                }
-            }
-            DataType::Float => {
-                let wanted: HashSet<&str> = values.into_iter().collect();
-                if wanted.is_empty() {
-                    return out;
-                }
-                for (offset, column) in self.parts() {
-                    let Column::Float(v) = column else { continue };
-                    let end = offset + v.len();
-                    sel.filter_ones_in_into(offset, end, &mut out, |idx| {
-                        match v.get(idx - offset) {
-                            Some(x) => wanted.contains(x.to_string().as_str()),
-                            None => false,
-                        }
-                    });
-                }
-            }
+        let spec = kernels::resolve_in(self.dtype, values);
+        for (offset, column) in self.parts() {
+            kernels::select_in_part(column, offset, sel, &spec, &mut out);
         }
         out
     }
@@ -364,26 +333,12 @@ impl<'a> ColumnView<'a> {
         out
     }
 
-    /// The rows holding a non-NULL value, as a bitmap over the table's rows
-    /// (the inverted null mask), assembled a word at a time per segment.
+    /// The rows holding a non-NULL value, as a bitmap over the view's rows
+    /// (the inverted null mask), assembled one segment at a time.
     pub fn non_null_mask(&self) -> Bitmap {
         let mut out = Bitmap::new_empty(self.len());
         for (offset, column) in self.parts() {
-            let end = offset + column.len();
-            match column {
-                Column::Int(v) => {
-                    out.fill_range_from_fn(offset, end, |idx| v.validity().get(idx - offset))
-                }
-                Column::Float(v) => {
-                    out.fill_range_from_fn(offset, end, |idx| v.validity().get(idx - offset))
-                }
-                Column::Bool(v) => {
-                    out.fill_range_from_fn(offset, end, |idx| v.validity().get(idx - offset))
-                }
-                Column::Str(d) => {
-                    out.fill_range_from_fn(offset, end, |idx| d.code(idx - offset) != NULL_CODE)
-                }
-            }
+            kernels::non_null_part(column, offset, &mut out);
         }
         out
     }
@@ -398,7 +353,7 @@ impl<'a> ColumnView<'a> {
     }
 
     /// The raw per-category selected counts, one `(value, count)` pair per
-    /// distinct value in **global first-appearance order**, *including zero
+    /// distinct value in **first-appearance order**, *including zero
     /// counts* — the mergeable precursor of
     /// [`ColumnView::categories_by_frequency`].
     ///
@@ -409,80 +364,34 @@ impl<'a> ColumnView<'a> {
     /// coordinator reproduces the local ranking bit for bit from per-shard
     /// counts. Numeric columns return an empty vector.
     pub fn category_counts(&self, sel: &Bitmap) -> Vec<(String, usize)> {
-        match self.dtype {
-            DataType::Str => {
-                // (value, selected count) in global first-appearance order:
-                // walking segment dictionaries in row order visits values
-                // exactly in the order a shared dictionary would have interned
-                // them.
-                let mut order: Vec<(String, usize)> = Vec::new();
-                let mut index: HashMap<String, usize> = HashMap::new();
-                for (offset, column) in self.parts() {
-                    let d = column.as_dict().expect("schema says string column");
-                    // The extra trailing slot absorbs NULL lanes (see
-                    // `count_codes_part`); only the real codes are merged.
-                    let mut counts = vec![0usize; d.cardinality() + 1];
-                    kernels::count_codes_part(d, offset, sel, &mut counts);
-                    for (code, value) in d.dictionary().iter().enumerate() {
-                        match index.get(value.as_str()) {
-                            Some(&pos) => order[pos].1 += counts[code],
-                            None => {
-                                index.insert(value.clone(), order.len());
-                                order.push((value.clone(), counts[code]));
-                            }
-                        }
-                    }
-                }
-                order
+        // Walking segment dictionaries in row order visits values exactly in
+        // the order a shared dictionary would have interned them. The first
+        // part is taken as it comes; the value index is only built once a
+        // second part has to be folded in.
+        let mut acc: Vec<(String, usize)> = Vec::new();
+        let mut index: HashMap<String, usize> = HashMap::new();
+        for (part, (offset, column)) in self.parts().enumerate() {
+            if part == 1 {
+                index = position_index(&acc);
             }
-            DataType::Bool => {
-                let mut t = 0usize;
-                let mut f = 0usize;
-                for (offset, column) in self.parts() {
-                    let Column::Bool(v) = column else { continue };
-                    let end = offset + v.len();
-                    sel.for_each_one_in(offset, end, |idx| match v.get(idx - offset) {
-                        Some(true) => t += 1,
-                        Some(false) => f += 1,
-                        None => {}
-                    });
+            kernels::category_counts_part(column, offset, sel, |value, n| {
+                if part == 0 {
+                    acc.push((value.to_string(), n));
+                } else {
+                    add_count(&mut acc, &mut index, value, n);
                 }
-                vec![("true".to_string(), t), ("false".to_string(), f)]
-            }
-            _ => Vec::new(),
+            });
         }
+        acc
     }
 
     /// Minimum and maximum of the non-NULL numeric values selected by `sel`.
     pub fn numeric_min_max(&self, sel: &Bitmap) -> Option<(f64, f64)> {
-        if !matches!(self.dtype, DataType::Int | DataType::Float) {
-            return None;
-        }
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
-        let mut seen = false;
+        let mut acc = None;
         for (offset, column) in self.parts() {
-            let end = offset + column.len();
-            match column {
-                Column::Int(v) => sel.for_each_one_in(offset, end, |idx| {
-                    if let Some(x) = v.get(idx - offset) {
-                        let x = x as f64;
-                        min = min.min(x);
-                        max = max.max(x);
-                        seen = true;
-                    }
-                }),
-                Column::Float(v) => sel.for_each_one_in(offset, end, |idx| {
-                    if let Some(x) = v.get(idx - offset) {
-                        min = min.min(x);
-                        max = max.max(x);
-                        seen = true;
-                    }
-                }),
-                _ => {}
-            }
+            kernels::numeric_min_max_part(column, offset, sel, &mut acc);
         }
-        seen.then_some((min, max))
+        acc
     }
 
     /// The distinct values of a string column in **global first-appearance
@@ -543,6 +452,30 @@ impl<'a> ColumnView<'a> {
     }
 }
 
+/// Each value of a category count vector mapped to its position.
+fn position_index(acc: &[(String, usize)]) -> HashMap<String, usize> {
+    acc.iter()
+        .enumerate()
+        .map(|(pos, (value, _))| (value.clone(), pos))
+        .collect()
+}
+
+/// Add `n` to `value`'s count, appending the value if it is new.
+fn add_count(
+    acc: &mut Vec<(String, usize)>,
+    index: &mut HashMap<String, usize>,
+    value: &str,
+    n: usize,
+) {
+    match index.get(value) {
+        Some(&pos) => acc[pos].1 += n,
+        None => {
+            index.insert(value.to_string(), acc.len());
+            acc.push((value.to_string(), n));
+        }
+    }
+}
+
 /// Fold one more per-range category count vector (`next`, covering the rows
 /// **after** everything already folded into `acc`) into an accumulator, both
 /// in the first-appearance order of [`ColumnView::category_counts`].
@@ -550,21 +483,16 @@ impl<'a> ColumnView<'a> {
 /// Known values add their counts; new values append — exactly what
 /// [`ColumnView::category_counts`] does when it walks the next segment's
 /// dictionary, so folding per-range vectors in row order reproduces the
-/// whole-column vector, order included.
+/// whole-column vector, order included. Folding into an empty accumulator
+/// copies `next` as it is.
 pub fn merge_category_counts(acc: &mut Vec<(String, usize)>, next: &[(String, usize)]) {
-    let mut index: HashMap<String, usize> = acc
-        .iter()
-        .enumerate()
-        .map(|(pos, (value, _))| (value.clone(), pos))
-        .collect();
-    for (value, count) in next {
-        match index.get(value.as_str()) {
-            Some(&pos) => acc[pos].1 += count,
-            None => {
-                index.insert(value.clone(), acc.len());
-                acc.push((value.clone(), *count));
-            }
-        }
+    if acc.is_empty() {
+        acc.extend_from_slice(next);
+        return;
+    }
+    let mut index = position_index(acc);
+    for (value, n) in next {
+        add_count(acc, &mut index, value, *n);
     }
 }
 
@@ -580,10 +508,10 @@ pub fn rank_categories_by_frequency(counts: Vec<(String, usize)>) -> Vec<(String
 impl std::fmt::Debug for ColumnView<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ColumnView")
-            .field("name", &self.name())
+            .field("name", &self.name)
             .field("dtype", &self.dtype)
-            .field("len", &self.len())
-            .field("segments", &self.table.num_segments())
+            .field("len", &self.len)
+            .field("segments", &self.segments.len())
             .finish()
     }
 }
@@ -660,6 +588,16 @@ mod tests {
                         &["red".to_string(), "true".to_string(), "7".to_string()]
                     )
                 );
+                // Inverted and NaN bounds select nothing on every layout.
+                for (lo, hi) in [(30.0, 5.0), (f64::NAN, 30.0), (5.0, f64::NAN)] {
+                    assert!(b.select_range(&sel, lo, hi).is_all_clear(), "{name}");
+                }
+                // "007" never matches 7; bools match case-insensitively.
+                assert_eq!(
+                    a.select_in(&sel, &["green", "FALSE", "007", "14"]),
+                    b.select_in(&sel, &["green", "FALSE", "007", "14"]),
+                    "{name} @ {segment_rows}"
+                );
                 assert_eq!(
                     a.select_ranges(&sel, &[(0.0, 10.0), (10.5, 40.0)]),
                     b.select_ranges(&sel, &[(0.0, 10.0), (10.5, 40.0)])
@@ -681,6 +619,7 @@ mod tests {
                     )
                 );
                 assert_eq!(a.non_null_mask(), b.non_null_mask(), "{name}");
+                assert_eq!(a.category_counts(&sel), b.category_counts(&sel));
                 assert_eq!(
                     a.categories_by_frequency(&sel),
                     b.categories_by_frequency(&sel)
@@ -699,6 +638,27 @@ mod tests {
                     assert_eq!(a.is_null(row), b.is_null(row));
                     assert_eq!(a.numeric(row), b.numeric(row));
                 }
+            }
+            // One-part views scan each segment on its own, in local rows;
+            // concatenated in row order they reproduce the whole column.
+            for (col, name) in ["x", "f", "c", "b"].into_iter().enumerate() {
+                let whole = reference.column(name).unwrap();
+                let mut values = Vec::new();
+                let mut non_null = Bitmap::new_empty(0);
+                let mut mask = Bitmap::new_empty(0);
+                for (idx, segment) in segmented.segments().iter().enumerate() {
+                    let part = ColumnView::of_segment(segment, name, col);
+                    assert_eq!(part.len(), segment.num_rows());
+                    assert_eq!(part.data_type(), whole.data_type());
+                    let offset = segmented.segment_offset(idx);
+                    let local = Bitmap::from_fn(part.len(), |i| sel.get(offset + i));
+                    values.extend(part.numeric_values_where(&local));
+                    non_null = non_null.concat(&part.non_null_mask());
+                    mask = mask.concat(&part.select_in(&local, &["red", "true", "7"]));
+                }
+                assert_eq!(values, whole.numeric_values_where(&sel), "{name}");
+                assert_eq!(non_null, whole.non_null_mask(), "{name}");
+                assert_eq!(mask, whole.select_in(&sel, &["red", "true", "7"]), "{name}");
             }
             assert_eq!(
                 reference.column("c").unwrap().dictionary(),

@@ -992,6 +992,7 @@ mod tests {
         {
             let iteration = step.unwrap();
             assert!(iteration.result.num_maps() >= 1);
+            assert_eq!(iteration.result.working_set_size, iteration.sample_size);
             sizes.push(iteration.sample_size);
         }
         assert!(sizes.len() >= 2, "several iterations expected: {sizes:?}");
@@ -1030,11 +1031,114 @@ mod tests {
         assert!(atlas
             .explore_iter(&ConjunctiveQuery::all("survey"), bad)
             .is_err());
+        let no_sample = ExploreOptions {
+            initial_sample: 0,
+            ..ExploreOptions::default()
+        };
+        assert!(atlas
+            .explore_anytime(&ConjunctiveQuery::all("survey"), no_sample)
+            .is_err());
         let empty = ConjunctiveQuery::all("survey").and(Predicate::range("age", 500.0, 600.0));
         assert!(matches!(
             atlas.explore_iter(&empty, ExploreOptions::default()),
             Err(AtlasError::EmptyWorkingSet)
         ));
+    }
+
+    /// Two well-separated groups: `x` near 0 for group `a`, near 100 for `b`.
+    fn two_groups(rows: usize) -> Arc<Table> {
+        let schema = Schema::new(vec![
+            Field::new("x", DataType::Float),
+            Field::new("group", DataType::Str),
+        ])
+        .unwrap();
+        let mut b = TableBuilder::new("t", schema);
+        for i in 0..rows {
+            let group = if i % 2 == 0 { "a" } else { "b" };
+            let x = if group == "a" {
+                (i % 10) as f64
+            } else {
+                100.0 + (i % 10) as f64
+            };
+            b.push_row(&[Value::Float(x), Value::Str(group.into())])
+                .unwrap();
+        }
+        Arc::new(b.build().unwrap())
+    }
+
+    #[test]
+    fn zero_budget_still_produces_one_iteration() {
+        let atlas = Atlas::with_defaults(two_groups(2000)).unwrap();
+        let options = ExploreOptions {
+            initial_sample: 64,
+            budget: Some(Duration::ZERO),
+            ..ExploreOptions::default()
+        };
+        let result = atlas
+            .explore_anytime(&ConjunctiveQuery::all("t"), options)
+            .unwrap();
+        assert_eq!(result.iterations.len(), 1);
+        assert!(!result.reached_full_data);
+        assert_eq!(result.iterations[0].sample_size, 64);
+    }
+
+    #[test]
+    fn small_working_set_is_used_in_full_immediately() {
+        let atlas = Atlas::with_defaults(two_groups(50)).unwrap();
+        let result = atlas
+            .explore_anytime(&ConjunctiveQuery::all("t"), ExploreOptions::default())
+            .unwrap();
+        assert_eq!(result.iterations.len(), 1);
+        assert!(result.reached_full_data);
+        assert_eq!(result.iterations[0].sample_size, 50);
+    }
+
+    #[test]
+    fn approximate_maps_converge_to_the_exact_ones() {
+        let atlas = Atlas::with_defaults(two_groups(6000)).unwrap();
+        let options = ExploreOptions {
+            initial_sample: 200,
+            growth_factor: 3.0,
+            budget: Some(Duration::from_secs(30)),
+            ..ExploreOptions::default()
+        };
+        let result = atlas
+            .explore_anytime(&ConjunctiveQuery::all("t"), options)
+            .unwrap();
+        assert!(result.reached_full_data);
+        let exact = &result.iterations.last().unwrap().result;
+        let first = &result.iterations.first().unwrap().result;
+        // Both should find the same top grouping attributes; the approximate
+        // covers should be close to the exact ones (within sampling noise).
+        let exact_best = exact.best().unwrap();
+        let approx_best = first.best().unwrap();
+        let sorted = |attributes: &[String]| {
+            let mut a = attributes.to_vec();
+            a.sort();
+            a
+        };
+        assert_eq!(
+            sorted(&approx_best.map.source_attributes),
+            sorted(&exact_best.map.source_attributes)
+        );
+        // A 200-row sample cannot promise the exact region structure: the
+        // clustering may split one region that the full data merges (or vice
+        // versa), so allow the counts to differ by one and only compare the
+        // per-region covers when the structures agree.
+        let exact_covers = exact_best.map.covers(exact.working_set_size);
+        let approx_covers = approx_best.map.covers(first.working_set_size);
+        let count_gap = exact_covers.len().abs_diff(approx_covers.len());
+        assert!(
+            count_gap <= 1,
+            "approx has {} regions, exact has {}",
+            approx_covers.len(),
+            exact_covers.len()
+        );
+        if count_gap == 0 {
+            for (a, e) in approx_covers.iter().zip(exact_covers.iter()) {
+                assert!((a - e).abs() < 0.15, "approx {a} vs exact {e}");
+            }
+        }
     }
 
     #[test]

@@ -31,14 +31,14 @@
 
 use crate::error::Result;
 use atlas_columnar::{
-    merge_category_counts, rank_categories_by_frequency, Bitmap, Column, ColumnStats,
-    ColumnSummary, DataType, Segment, Table,
+    merge_category_counts, rank_categories_by_frequency, Bitmap, ColumnStats, ColumnSummary,
+    ColumnView, DataType, Segment, Table,
 };
 use atlas_stats::GkSketch;
 use minirayon::ThreadPool;
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Pre-computed statistics of one column over the full table.
 #[derive(Debug, Clone)]
@@ -104,28 +104,22 @@ struct SegmentColumnProfile {
     category_counts: Vec<(String, usize)>,
 }
 
-/// Profile one column of one segment.
+/// Profile one column of one segment, through the segment's one-part view
+/// (segment-local rows, so every scan runs over the full local selection).
 fn profile_segment_column(
-    column: &Column,
-    offset: usize,
-    full: &Bitmap,
+    column: ColumnView<'_>,
     sketch_epsilon: Option<f64>,
 ) -> SegmentColumnProfile {
-    let summary = ColumnSummary::compute(column, full, offset);
-    let sketch = match (column.data_type(), sketch_epsilon) {
-        (DataType::Int | DataType::Float, Some(epsilon)) => {
-            let mut sketch = GkSketch::new(epsilon);
-            let local = Bitmap::new_full(column.len());
-            sketch.extend(&column.numeric_values_where(&local));
-            Some(sketch)
-        }
-        _ => None,
-    };
+    let full = Bitmap::new_full(column.len());
+    let sketch = empty_sketch(column.data_type(), sketch_epsilon).map(|mut sketch| {
+        sketch.extend(&column.numeric_values_where(&full));
+        sketch
+    });
     SegmentColumnProfile {
-        summary,
+        summary: column.summary(&full),
         non_null: column.non_null_mask(),
         sketch,
-        category_counts: column.category_counts(full, offset),
+        category_counts: column.category_counts(&full),
     }
 }
 
@@ -138,27 +132,22 @@ fn empty_sketch(dtype: DataType, sketch_epsilon: Option<f64>) -> Option<GkSketch
     }
 }
 
-/// Extend a numeric-column non-NULL mask and sketch with one more segment.
+/// Extend one column profile with one more segment, given as the segment's
+/// one-part view.
 fn merge_column_segment(
     profile: &ColumnProfile,
-    column: &Column,
+    column: ColumnView<'_>,
     sketch_epsilon: Option<f64>,
 ) -> ColumnProfile {
-    let local_full = Bitmap::new_full(column.len());
-    let part = ColumnSummary::compute(column, &local_full, 0);
+    let part = profile_segment_column(column, sketch_epsilon);
     let mut summary = profile.summary.clone();
-    summary.merge_from(&part);
+    summary.merge_from(&part.summary);
     let mut category_counts = profile.category_counts.clone();
-    merge_category_counts(
-        &mut category_counts,
-        &column.category_counts(&local_full, 0),
-    );
+    merge_category_counts(&mut category_counts, &part.category_counts);
     let sketch = profile.sketch.as_ref().map(|existing| {
         let mut merged = existing.clone();
-        if let Some(epsilon) = sketch_epsilon {
-            let mut part_sketch = GkSketch::new(epsilon);
-            part_sketch.extend(&column.numeric_values_where(&local_full));
-            merged.merge(&part_sketch);
+        if let Some(part_sketch) = &part.sketch {
+            merged.merge(part_sketch);
         }
         merged
     });
@@ -166,7 +155,7 @@ fn merge_column_segment(
         name: profile.name.clone(),
         stats: summary.to_stats(),
         sketch,
-        non_null: profile.non_null.concat(&column.non_null_mask()),
+        non_null: profile.non_null.concat(&part.non_null),
         category_counts,
         summary,
     }
@@ -195,7 +184,6 @@ impl TableProfile {
     /// count — and identical to incrementally appending the same segments
     /// one by one.
     pub fn build_with_pool(table: &Table, sketch_epsilon: Option<f64>, pool: &ThreadPool) -> Self {
-        let full = table.full_selection();
         let fields = table.schema().fields();
         let num_columns = fields.len();
         let tasks: Vec<(usize, usize)> = (0..table.num_segments())
@@ -210,10 +198,9 @@ impl TableProfile {
             task_span.attr("segment", seg);
             // lint: slice-index-ok (col < num_columns == fields.len() by task construction)
             task_span.attr("column", &fields[col].name);
+            let segment = &table.segments()[seg];
             profile_segment_column(
-                table.segments()[seg].column(col),
-                table.segment_offset(seg),
-                &full,
+                ColumnView::of_segment(segment, &fields[col].name, col),
                 sketch_epsilon,
             )
         });
@@ -286,13 +273,14 @@ impl TableProfile {
     ///
     /// Hit/miss counters start at zero: the merged profile describes a new
     /// engine state.
-    pub fn merge_segment(&self, segment: &Segment) -> TableProfile {
+    pub fn merge_segment(&self, segment: &Arc<Segment>) -> TableProfile {
         let columns = self
             .columns
             .iter()
             .enumerate()
             .map(|(col, profile)| {
-                merge_column_segment(profile, segment.column(col), self.sketch_epsilon)
+                let column = ColumnView::of_segment(segment, &profile.name, col);
+                merge_column_segment(profile, column, self.sketch_epsilon)
             })
             .collect();
         TableProfile {

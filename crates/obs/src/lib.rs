@@ -471,7 +471,10 @@ impl Drop for SpanGuard {
                 parent_id: active.parent_id,
                 name: active.name.to_string(),
                 start_us: active.start_us,
-                duration_us: self.start.elapsed().as_micros() as u64,
+                // Both ends read the tracer clock, so a child closed before
+                // its parent never ends after it (separately rounded
+                // durations could overshoot the parent by a microsecond).
+                duration_us: t.now_us().saturating_sub(active.start_us),
                 attrs: active.attrs,
             });
         }

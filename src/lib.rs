@@ -159,11 +159,10 @@ pub mod prelude {
         DataType, Field, Schema, Segment, Table, TableBuilder, Value,
     };
     pub use atlas_core::{
-        AnytimeAtlas, AnytimeConfig, AnytimeIteration, AnytimeResult, Atlas, AtlasBuilder,
-        AtlasConfig, CachedAtlas, CategoricalCutStrategy, CutConfig, CutStrategy, DataMap,
-        ExploreOptions, MapDistance, MapDistanceMetric, MapResult, MergePolicy, MergeStrategy,
-        NumericCutStrategy, PhaseTimings, PipelineContext, ProfileStats, RankedMap, Ranker, Region,
-        TableProfile,
+        AnytimeIteration, AnytimeResult, Atlas, AtlasBuilder, AtlasConfig, CachedAtlas,
+        CategoricalCutStrategy, CutConfig, CutStrategy, DataMap, ExploreOptions, MapDistance,
+        MapDistanceMetric, MapResult, MergePolicy, MergeStrategy, NumericCutStrategy, PhaseTimings,
+        PipelineContext, ProfileStats, RankedMap, Ranker, Region, TableProfile,
     };
     pub use atlas_datagen::{CensusGenerator, MixtureGenerator, OrdersGenerator, SdssGenerator};
     pub use atlas_explorer::{render_map, render_result, MapQuality, ReadabilityReport, Session};
